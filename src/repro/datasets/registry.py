@@ -6,6 +6,11 @@ hidden sizes were reconstructed from the published totals — see DESIGN.md
 §3).  ``build_model`` / ``load_dataset`` are the only entry points the
 experiment drivers use, so swapping in the real MNIST/SVHN data later is a
 one-file change.
+
+``load_dataset`` remembers the last dataset it rendered: every candidate
+of an exploration sweep reads the same few datasets, and the explorer
+runs its candidates grouped by dataset, so one entry renders each of
+them once without holding more than one in memory.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro import obs
 from repro.datasets.base import Dataset
 from repro.datasets.digits import synthetic_mnist
 from repro.datasets.faces import synthetic_faces
@@ -160,16 +166,41 @@ def build_model(key: str, seed: int = 0) -> Sequential:
     return _spec(key).model_fn(seed)
 
 
+#: The last dataset :func:`load_dataset` rendered, keyed on every argument
+#: the generator receives; a different key replaces it.
+_MEMO: dict[tuple, Dataset] = {}
+
+
 def load_dataset(key: str, n_train: int | None = None,
                  n_test: int | None = None, seed: int = 0) -> Dataset:
-    """Generate the dataset of benchmark *key* (seeded, reproducible)."""
+    """Generate the dataset of benchmark *key* (seeded, reproducible).
+
+    Repeated calls with the same arguments return the same object, so
+    its arrays are read-only: copy before writing in place.
+    """
+    memo_key = (key, n_train, n_test, seed)
+    dataset = _MEMO.get(memo_key)
+    if dataset is not None:
+        if obs.enabled():
+            obs.registry().counter("datasets.memo_hits").inc()
+        return dataset
     spec = _spec(key)
     kwargs: dict[str, int] = {"seed": seed}
     if n_train is not None:
         kwargs["n_train"] = n_train
     if n_test is not None:
         kwargs["n_test"] = n_test
-    return spec.dataset_fn(**kwargs)
+    with obs.span("datasets.load", app=key, n_train=n_train,
+                  n_test=n_test, seed=seed):
+        dataset = spec.dataset_fn(**kwargs)
+    for array in (dataset.x_train, dataset.y_train,
+                  dataset.x_test, dataset.y_test):
+        array.flags.writeable = False
+    if obs.enabled():
+        obs.registry().counter("datasets.renders").inc()
+    _MEMO.clear()
+    _MEMO[memo_key] = dataset
+    return dataset
 
 
 def training_arrays(dataset: Dataset,

@@ -186,6 +186,12 @@ def evaluate_candidate(config: PipelineConfig,
     return record
 
 
+def _dataset_key(config: PipelineConfig) -> tuple:
+    """The ``load_dataset`` arguments *config*'s pipeline renders with."""
+    tier = config.tier()
+    return (config.app, tier.n_train, tier.n_test, config.seed)
+
+
 def _candidate_worker(payload) -> tuple[int, dict]:
     index, config_dict, resume, attempt, timeout_s = payload
     config = PipelineConfig.from_dict(config_dict)
@@ -316,6 +322,12 @@ def run_candidates(configs: Sequence[PipelineConfig],
         started = time.perf_counter()
         round_payloads = pending
         while round_payloads:
+            # grouped by dataset, so load_dataset's one-entry memo renders
+            # each dataset once per process; stable, and results still
+            # come back in candidate order
+            round_payloads = sorted(
+                round_payloads,
+                key=lambda p: _dataset_key(configs[p[0]]))
             outcomes = pool_map(_candidate_worker, round_payloads, jobs,
                                 on_result=landed)
             retry_payloads = []

@@ -47,6 +47,8 @@ DEFAULT_WINDOW = 2048
 HELP_TEXT: dict[str, str] = {
     "pipeline.cache.hits": "Pipeline stage cache hits",
     "pipeline.cache.misses": "Pipeline stage cache misses",
+    "datasets.renders": "Datasets rendered (load_dataset memo misses)",
+    "datasets.memo_hits": "load_dataset calls served from its memo",
     "kernels.calls": "Kernel dispatches per backend and kernel",
     "kernels.seconds": "Cumulative kernel seconds per backend and kernel",
     "explore.journal_hits": "Explore candidates satisfied from the journal",

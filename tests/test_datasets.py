@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.datasets import registry
 from repro.datasets import (
     BENCHMARKS,
     Dataset,
@@ -192,3 +194,57 @@ class TestRegistry:
         assert BENCHMARKS["face"].bits == 12
         assert BENCHMARKS["svhn"].bits == 8
         assert BENCHMARKS["tich"].bits == 8
+
+
+class TestLoadDatasetMemo:
+    """``load_dataset`` keeps its last render, shared and read-only."""
+
+    ARGS = dict(n_train=12, n_test=6, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(registry, "_MEMO", {})
+        obs.reset()
+        yield
+        obs.reset()
+
+    def test_same_arguments_return_same_object(self):
+        assert load_dataset("mnist_mlp", **self.ARGS) \
+            is load_dataset("mnist_mlp", **self.ARGS)
+
+    def test_values_match_direct_generation(self):
+        data = load_dataset("mnist_mlp", **self.ARGS)
+        direct = synthetic_mnist(**self.ARGS)
+        for name in ("x_train", "y_train", "x_test", "y_test"):
+            assert np.array_equal(getattr(data, name), getattr(direct, name))
+
+    @pytest.mark.parametrize("view", [
+        lambda d: d.x_train, lambda d: d.y_train, lambda d: d.x_test,
+        lambda d: d.y_test, lambda d: d.flat_train,
+        lambda d: d.subset(4, 2).x_train,
+    ], ids=["x_train", "y_train", "x_test", "y_test", "flat_train",
+            "subset_x_train"])
+    def test_arrays_are_read_only(self, view):
+        array = view(load_dataset("mnist_mlp", **self.ARGS))
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+    @pytest.mark.parametrize("change", [{"seed": 5}, {"n_train": 14}])
+    def test_different_arguments_evict(self, change):
+        first = load_dataset("mnist_mlp", **self.ARGS)
+        other = load_dataset("mnist_mlp", **{**self.ARGS, **change})
+        assert other is not first
+        assert list(registry._MEMO) == [
+            ("mnist_mlp", *{**self.ARGS, **change}.values())]
+        assert load_dataset("mnist_mlp", **self.ARGS) is not first
+
+    def test_traces_renders_and_hits(self):
+        obs.enable()
+        load_dataset("face", **self.ARGS)
+        load_dataset("face", **self.ARGS)
+        load_dataset("face", **self.ARGS)
+        renders = [s for s in obs.spans() if s.name == "datasets.load"]
+        assert len(renders) == 1
+        assert renders[0].attrs == {"app": "face", **self.ARGS}
+        assert obs.registry().counter("datasets.renders").value == 1
+        assert obs.registry().counter("datasets.memo_hits").value == 2

@@ -4,11 +4,15 @@ design tokens, cross-config stage-cache sharing, serial-vs-parallel
 bit-identity of journals and frontiers, resume semantics, frontier
 export into the serving registry, and the ``repro explore`` CLI."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from repro.datasets import registry
+from repro.datasets.registry import BENCHMARKS
+from repro.explore import executor
 from repro.explore import (
     ExplorationJournal,
     JournalError,
@@ -385,37 +389,66 @@ class TestSerialParallelBitIdentity:
 
     @pytest.fixture(scope="class")
     def journals(self, tmp_path_factory, space):
+        """Serial (grouped by dataset), ``jobs=2``, and serial in plain
+        candidate order; the space alternates seeds, so the orders differ."""
         root = tmp_path_factory.mktemp("bitident")
         serial = str(root / "serial")
         parallel = str(root / "parallel")
+        ungrouped = str(root / "ungrouped")
         run_exploration(space, serial, jobs=1)
         run_exploration(space, parallel, jobs=2)
-        return serial, parallel
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(executor, "_dataset_key", lambda config: ())
+            run_exploration(space, ungrouped, jobs=1)
+        return serial, parallel, ungrouped
 
     def test_record_files_bit_identical(self, journals):
-        serial, parallel = journals
+        serial, *others = journals
         names = sorted(os.listdir(os.path.join(serial, "records")))
-        assert names == sorted(os.listdir(
-            os.path.join(parallel, "records")))
         assert len(names) == 4
-        for name in names:
-            a = open(os.path.join(serial, "records", name), "rb").read()
-            b = open(os.path.join(parallel, "records", name), "rb").read()
-            assert a == b
+        for other in others:
+            assert names == sorted(os.listdir(
+                os.path.join(other, "records")))
+            for name in names:
+                a = open(os.path.join(serial, "records", name), "rb").read()
+                b = open(os.path.join(other, "records", name), "rb").read()
+                assert a == b
 
     def test_space_and_report_bit_identical(self, journals):
-        serial, parallel = journals
-        for name in ("space.json", "report.json"):
-            a = open(os.path.join(serial, name), "rb").read()
-            b = open(os.path.join(parallel, name), "rb").read()
-            assert a == b
+        serial, *others = journals
+        for other in others:
+            for name in ("space.json", "report.json"):
+                a = open(os.path.join(serial, name), "rb").read()
+                b = open(os.path.join(other, name), "rb").read()
+                assert a == b
 
     def test_frontiers_identical(self, journals):
-        serial, parallel = journals
+        serial, parallel, _ = journals
         a = json.load(open(os.path.join(serial, "report.json")))
         b = json.load(open(os.path.join(parallel, "report.json")))
         assert a["frontier"] == b["frontier"]
         assert a["records"] == b["records"]
+
+
+class TestDatasetGrouping:
+    def test_serial_sweep_renders_each_dataset_once(self, tmp_path,
+                                                    monkeypatch):
+        """The grid alternates seeds; grouped evaluation plus the
+        ``load_dataset`` memo still renders each seed's dataset once."""
+        spec = BENCHMARKS["mnist_mlp"]
+        seeds = []
+
+        def counting(**kwargs):
+            seeds.append(kwargs["seed"])
+            return spec.dataset_fn(**kwargs)
+
+        monkeypatch.setitem(BENCHMARKS, "mnist_mlp",
+                            dataclasses.replace(spec, dataset_fn=counting))
+        monkeypatch.setattr(registry, "_MEMO", {})
+        space = tiny_space(app="mnist_mlp", seeds=(0, 1))
+        report = run_exploration(space, str(tmp_path / "j"), jobs=1)
+        assert [r["config"]["seed"] for r in report.records] == [0, 1, 0, 1]
+        assert seeds == [0, 1]
 
 
 class TestSensitivityStrategy:
