@@ -16,9 +16,10 @@ One console entry point for the whole flow::
 ``repro run`` executes :class:`~repro.pipeline.config.PipelineConfig`
 files (JSON or TOML) and prints the reports; ``repro explore`` walks a
 :class:`~repro.explore.space.SearchSpace` on a worker pool and reduces
-it to Pareto frontiers; ``repro experiment`` subsumes the legacy
-``python -m repro.experiments.runner``; ``repro serve`` subsumes
-``repro-serve`` (both remain as deprecation shims for one release).
+it to Pareto frontiers.  The kernel backends (``backend``,
+``sim_backend``, ``train_backend``) are bit-identical by contract and
+default to ``auto``; set them in the config or space file, not on the
+command line.
 """
 
 from __future__ import annotations
@@ -95,13 +96,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 config = config.with_overrides(budget="full")
             if args.cache_dir is not None:
                 config = config.with_overrides(cache_dir=args.cache_dir)
-            if args.backend is not None:
-                config = config.with_overrides(backend=args.backend)
-            if args.sim_backend is not None:
-                config = config.with_overrides(sim_backend=args.sim_backend)
-            if args.train_backend is not None:
-                config = config.with_overrides(
-                    train_backend=args.train_backend)
             if seeds is not None:
                 configs.extend(config.with_overrides(seed=seed)
                                for seed in seeds)
@@ -162,17 +156,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     tracing = _start_trace(args.trace)
     try:
         space = SearchSpace.load(args.space)
-        if args.backend is not None or args.sim_backend is not None \
-                or args.train_backend is not None:
-            from dataclasses import replace
-            overrides = {}
-            if args.backend is not None:
-                overrides["backend"] = args.backend
-            if args.sim_backend is not None:
-                overrides["sim_backend"] = args.sim_backend
-            if args.train_backend is not None:
-                overrides["train_backend"] = args.train_backend
-            space = replace(space, **overrides)
         journal_dir = args.journal if args.journal is not None else \
             os.path.join(DEFAULT_EXPLORE_DIR, space.name)
         report = run_exploration(space, journal_dir,
@@ -243,12 +226,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         path = write_json(args.json, report.to_dict())
         print(f"\n[wrote {path}]")
     return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serving.server import main as serve_main
-
-    return serve_main(args.args)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -492,20 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(choose from {','.join(STAGE_NAMES)})")
     run.add_argument("--cache-dir", default=None,
                      help="stage cache root (overrides config.cache_dir)")
-    run.add_argument("--backend", default=None,
-                     choices=("reference", "fast", "auto"),
-                     help="compute-kernel backend for evaluation "
-                          "(bit-identical; overrides config.backend)")
-    run.add_argument("--sim-backend", default=None,
-                     choices=("reference", "fast", "auto"),
-                     help="simulation-kernel backend for the cycle-"
-                          "accurate toggle simulator (bit-identical; "
-                          "overrides config.sim_backend)")
-    run.add_argument("--train-backend", default=None,
-                     choices=("reference", "fast", "auto"),
-                     help="training-kernel backend for the float "
-                          "training loops (bit-identical; overrides "
-                          "config.train_backend)")
     run.add_argument("--no-resume", action="store_true",
                      help="ignore cached stage results")
     run.add_argument("--full", action="store_true",
@@ -553,22 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--cache-dir", default=None,
                          help="pipeline stage cache shared by the workers "
                               "(default: <journal>/cache)")
-    explore.add_argument("--backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="compute-kernel backend for candidate "
-                              "evaluation (bit-identical; overrides "
-                              "space.backend)")
-    explore.add_argument("--sim-backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="simulation-kernel backend for the "
-                              "candidates' toggle simulator "
-                              "(bit-identical; overrides "
-                              "space.sim_backend)")
-    explore.add_argument("--train-backend", default=None,
-                         choices=("reference", "fast", "auto"),
-                         help="training-kernel backend the candidates "
-                              "retrain with (bit-identical; overrides "
-                              "space.train_backend)")
     explore.add_argument("--no-resume", action="store_true",
                          help="ignore the journal and stage cache")
     explore.add_argument("--max-retries", type=int, default=2,
@@ -628,12 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress per-stage progress lines")
     faults.set_defaults(func=_cmd_faults)
 
-    serve = sub.add_parser(
-        "serve", help="serve exported artifacts over HTTP "
-                      "(same flags as repro-serve)")
-    serve.add_argument("args", nargs=argparse.REMAINDER,
-                       help="arguments passed to the serving front end")
-    serve.set_defaults(func=_cmd_serve)
+    # listed here for `repro --help` only: main() hands a `serve` argv
+    # straight to the server front end, which owns its flags and --help
+    sub.add_parser("serve", add_help=False,
+                   help="serve exported artifacts over HTTP "
+                        "(see `repro serve --help`)")
 
     stats = sub.add_parser(
         "stats", help="render a --trace file (worker shards merged in): "
@@ -718,8 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["serve"]:
+        from repro.serving.server import main as serve_main
+
+        return serve_main(argv[1:])
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

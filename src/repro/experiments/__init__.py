@@ -1,24 +1,16 @@
 """Experiment drivers reproducing every table and figure of the paper.
 
-See DESIGN.md §5 for the experiment index.  Run everything with::
-
-    python -m repro.experiments.runner --experiment all
+Run everything with ``repro experiment all`` (``repro list`` names each
+experiment).
 """
 
 from repro.experiments.accuracy import (
+    ACCURACY_APPS,
     AccuracyGrid,
     AccuracyRow,
     format_accuracy_table,
     run_accuracy_grid,
     run_figure7,
-)
-from repro.experiments.config import (
-    ACCURACY_APPS,
-    FULL,
-    QUICK,
-    Budget,
-    TrainSettings,
-    budget,
 )
 from repro.experiments.energy import (
     FIGURE9_GROUPS,
@@ -30,7 +22,6 @@ from repro.experiments.mixed import (
     FIGURE11_APPS,
     Figure11Row,
     format_figure11_table,
-    mixed_plan_for,
     run_figure11,
     run_figure11_app,
 )
@@ -42,9 +33,6 @@ from repro.experiments.power_area import (
     run_figure10,
     run_hardware_grid,
 )
-# NOTE: repro.experiments.runner is intentionally not imported here so that
-# `python -m repro.experiments.runner` does not trigger the runpy
-# double-import warning; import it directly where needed.
 from repro.experiments.tables import (
     format_table1,
     format_table4,
@@ -55,12 +43,11 @@ from repro.experiments.tables import (
 )
 
 __all__ = [
-    "AccuracyGrid", "AccuracyRow", "format_accuracy_table",
+    "ACCURACY_APPS", "AccuracyGrid", "AccuracyRow", "format_accuracy_table",
     "run_accuracy_grid", "run_figure7",
-    "ACCURACY_APPS", "FULL", "QUICK", "Budget", "TrainSettings", "budget",
     "FIGURE9_GROUPS", "EnergyRow", "format_energy_table", "run_figure9",
     "FIGURE11_APPS", "Figure11Row", "format_figure11_table",
-    "mixed_plan_for", "run_figure11", "run_figure11_app",
+    "run_figure11", "run_figure11_app",
     "PAPER_VALUES", "HardwareRow", "format_hardware_table",
     "run_figure8", "run_figure10", "run_hardware_grid",
     "format_table1", "format_table4", "format_table5",

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.asm.alphabet import AlphabetSet
 from repro.hardware.report import format_table
 from repro.pipeline import Pipeline, PipelineConfig
-from repro.training.mixed import paper_mixed_plan
 
-__all__ = ["Figure11Row", "FIGURE11_APPS", "mixed_plan_for",
-           "run_figure11_app", "run_figure11", "format_figure11_table"]
+__all__ = ["Figure11Row", "FIGURE11_APPS", "run_figure11_app",
+           "run_figure11", "format_figure11_table"]
 
 #: The applications Fig. 11 plots.
 FIGURE11_APPS = ("mnist_mlp", "svhn", "tich")
@@ -33,15 +31,6 @@ FIGURE11_APPS = ("mnist_mlp", "svhn", "tich")
 _FIGURE11_DESIGNS = (("conventional", "conventional"),
                      ("asm1", "all {1}"),
                      ("mixed", "mixed"))
-
-
-def mixed_plan_for(app: str, network) -> list[AlphabetSet]:
-    """The paper's §VI.E plan for each Fig. 11 application.
-
-    Kept as an alias of :func:`repro.training.mixed.paper_mixed_plan`
-    (the pipeline's canonical copy) for existing imports.
-    """
-    return paper_mixed_plan(app, network)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,8 @@ Design tokens
     Algorithm 2's quality ladder: escalate through ``ladder`` counts until
     accuracy ``K >= J * quality``.
 
-This module is also the canonical home of the training *budget tiers*
-(``quick`` / ``full``) and the per-benchmark optimiser settings; the
-legacy :mod:`repro.experiments.config` re-exports them.
+This module is also the home of the training *budget tiers*
+(``quick`` / ``full``) and the per-benchmark optimiser settings.
 """
 
 from __future__ import annotations

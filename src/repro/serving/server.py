@@ -15,18 +15,14 @@ Endpoints (all JSON):
 * ``POST /predict`` — ``{"model": name, "inputs": [[...], ...],
   "version": optional int}`` → ``{"predictions": [...], "scores": ...}``.
 
-Run from a checkout::
-
-    PYTHONPATH=src python -m repro.serving results/artifacts/digits
-
-or, after ``pip install -e .``, via the ``repro-serve`` console script.
+Run it with ``repro serve results/artifacts/digits --port 8100``
+(``repro serve --help`` lists the batching flags).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,7 +39,7 @@ from repro.serving.batching import (
 from repro.serving.metrics import ServingMetrics
 from repro.serving.registry import ModelRegistry, default_registry
 
-__all__ = ["ServingServer", "create_server", "main", "deprecated_main"]
+__all__ = ["ServingServer", "create_server", "main"]
 
 
 class ServingServer(ThreadingHTTPServer):
@@ -251,7 +247,7 @@ def serve_forever(server: ServingServer) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog="repro serve",
         description="Serve exported ASM model artifacts over HTTP")
     parser.add_argument(
         "artifacts", nargs="+", metavar="[NAME=]PATH",
@@ -300,13 +296,3 @@ def main(argv: list[str] | None = None) -> int:
     serve_forever(server)
     return 0
 
-
-def deprecated_main(argv: list[str] | None = None) -> int:
-    """Entry point of the legacy ``repro-serve`` console script."""
-    print("note: `repro-serve` is deprecated; use `repro serve` "
-          "(see `repro --help`)", file=sys.stderr)
-    return main(argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,16 +10,10 @@ from repro.training.methodology import (
     MethodologyResult,
     StageResult,
 )
-from repro.training.mixed import (
-    MixedPlanResult,
-    build_mixed_plan,
-    evaluate_plan,
-    retrain_with_plan,
-)
+from repro.training.mixed import build_mixed_plan
 
 __all__ = [
     "ConstraintProjector", "constrained_trainer", "weight_param_name",
     "DesignMethodology", "MethodologyResult", "StageResult",
-    "MixedPlanResult", "build_mixed_plan", "evaluate_plan",
-    "retrain_with_plan",
+    "build_mixed_plan",
 ]

@@ -302,15 +302,17 @@ class TestPipelinePlumbing:
         with pytest.raises(SearchSpaceError, match="backend"):
             SearchSpace(app="mnist_mlp", backend="simd")
 
-    def test_cli_backend_flag(self):
-        from repro.cli import build_parser
+    @pytest.mark.parametrize("flag", ["--backend", "--sim-backend",
+                                      "--train-backend"])
+    @pytest.mark.parametrize("command", ["run", "explore"])
+    def test_cli_has_no_backend_flags(self, command, flag, capsys):
+        """Backends are set in the config/space file, never per run."""
+        from repro.cli import main
 
-        parser = build_parser()
-        args = parser.parse_args(["run", "cfg.json", "--backend", "fast"])
-        assert args.backend == "fast"
-        args = parser.parse_args(["explore", "space.toml",
-                                  "--backend", "reference"])
-        assert args.backend == "reference"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "cfg.json", flag, "reference"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pipeline_designs_bit_identical_across_backends(self, tmp_path):
         """Acceptance: conventional, asm1 and a mixed design deploy

@@ -254,7 +254,7 @@ class TestLegacyEquivalence:
         from repro.asm.constraints import WeightConstrainer
         from repro.datasets.registry import (
             BENCHMARKS, build_model, load_dataset)
-        from repro.experiments.config import TRAIN_SETTINGS
+        from repro.pipeline.config import TRAIN_SETTINGS
         from repro.nn.optim import SGD
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
@@ -324,7 +324,7 @@ class TestLegacyEquivalence:
         from repro.datasets.registry import (
             BENCHMARKS, build_model, load_dataset, training_arrays)
         from repro.experiments.accuracy import run_accuracy_grid
-        from repro.experiments.config import TRAIN_SETTINGS
+        from repro.pipeline.config import TRAIN_SETTINGS
         from repro.nn.optim import SGD
         from repro.nn.quantized import QuantizationSpec, QuantizedNetwork
         from repro.nn.trainer import Trainer
@@ -470,18 +470,3 @@ class TestCLI:
         with pytest.raises(AttributeError):
             repro.nonexistent_name
 
-
-class TestDeprecationShims:
-    def test_runner_shim_exits_zero(self, capsys):
-        from repro.experiments.runner import main
-        assert main(["--list"]) == 0
-        captured = capsys.readouterr()
-        assert "fig7" in captured.out
-        assert "deprecated" in captured.err
-
-    def test_repro_serve_shim_help(self, capsys):
-        from repro.serving.server import deprecated_main
-        with pytest.raises(SystemExit) as excinfo:
-            deprecated_main(["--help"])
-        assert excinfo.value.code == 0
-        assert "deprecated" in capsys.readouterr().err

@@ -624,3 +624,47 @@ class TestServerHardening:
             future.result(timeout=10.0)
         assert _get(f"{base}/healthz") == {"status": "ready"}
         assert _get(f"{base}/stats")["shed_total"] == 1
+
+
+class TestServeCommand:
+    """``repro serve`` hands its whole argv to the server front end."""
+
+    def test_help_lists_server_flags(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: repro serve")
+        assert "--max-batch-size" in out
+
+    def test_flags_before_path_reach_the_server(self, capsys):
+        from repro.cli import main
+        assert main(["serve", "--port", "0", "/nonexistent"]) == 1
+        assert "cannot register" in capsys.readouterr().out
+
+    def test_flags_before_named_path_start_a_server(self, exported,
+                                                    monkeypatch, capsys):
+        from repro.cli import main
+        from repro.serving import server as server_module
+
+        seen = {}
+
+        def serve_one_request(server):
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            host, port = server.server_address[:2]
+            seen["health"] = _get(f"http://{host}:{port}/health")
+            seen["max_batch_size"] = server.batcher.settings.max_batch_size
+            server.shutdown()
+            thread.join(timeout=5.0)
+
+        monkeypatch.setattr(server_module, "default_registry", ModelRegistry)
+        monkeypatch.setattr(server_module, "serve_forever", serve_one_request)
+        _, path = exported
+        assert main(["serve", "--port", "0", "--max-batch-size", "8",
+                     f"mnist={path}"]) == 0
+        assert seen == {"health": {"status": "ok", "models": ["mnist@v1"]},
+                        "max_batch_size": 8}
+        assert "serving 1 model(s)" in capsys.readouterr().out

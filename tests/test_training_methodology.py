@@ -5,6 +5,7 @@ import pytest
 
 from repro.asm.alphabet import ALPHA_1, ALPHA_2, ALPHA_4
 from repro.datasets import mlp, synthetic_mnist
+from repro.hardware.engine import ProcessingEngine
 from repro.nn.optim import SGD
 from repro.training.constrained import (
     ConstraintProjector,
@@ -12,7 +13,7 @@ from repro.training.constrained import (
     weight_param_name,
 )
 from repro.training.methodology import DesignMethodology
-from repro.training.mixed import build_mixed_plan, evaluate_plan
+from repro.training.mixed import build_mixed_plan
 
 RNG = np.random.default_rng(5)
 
@@ -179,34 +180,28 @@ class TestMixedPlans:
         with pytest.raises(ValueError):
             build_mixed_plan(model, [ALPHA_2, ALPHA_4, ALPHA_4])
 
-    def test_evaluate_plan_energy_ordering(self, small_data):
+    @staticmethod
+    def plan_energy_nj(model, plan):
+        """Engine energy of *model* deployed under a per-layer plan."""
+        report = ProcessingEngine(8).run(model.topology(),
+                                         layer_alphabets=plan)
+        return report.energy_nj
+
+    def test_evaluate_plan_energy_ordering(self):
         """mixed energy sits between all-{1} and conventional."""
         model = fresh_model()
         n = len(model.trainable_layers)
-        conventional = evaluate_plan(model, small_data, 8, [None] * n,
-                                     label="conv")
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n,
-                            label="man")
-        mixed = evaluate_plan(model, small_data, 8,
-                              build_mixed_plan(model, [ALPHA_4]),
-                              label="mixed")
-        assert man.energy_nj < mixed.energy_nj < conventional.energy_nj
+        conventional = self.plan_energy_nj(model, [None] * n)
+        man = self.plan_energy_nj(model, [ALPHA_1] * n)
+        mixed = self.plan_energy_nj(model,
+                                    build_mixed_plan(model, [ALPHA_4]))
+        assert man < mixed < conventional
 
-    def test_mixed_energy_overhead_small(self, small_data):
+    def test_mixed_energy_overhead_small(self):
         """§VI.E: upgrading the small output layer costs <5% energy."""
         model = fresh_model()
         n = len(model.trainable_layers)
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n,
-                            label="man")
-        mixed = evaluate_plan(model, small_data, 8,
-                              build_mixed_plan(model, [ALPHA_4]),
-                              label="mixed")
-        assert mixed.energy_nj / man.energy_nj < 1.05
-
-    def test_normalized_energy_helper(self, small_data):
-        model = fresh_model()
-        n = len(model.trainable_layers)
-        conv = evaluate_plan(model, small_data, 8, [None] * n, label="conv")
-        man = evaluate_plan(model, small_data, 8, [ALPHA_1] * n, label="man")
-        assert man.normalized_energy(conv) == pytest.approx(
-            man.energy_nj / conv.energy_nj)
+        man = self.plan_energy_nj(model, [ALPHA_1] * n)
+        mixed = self.plan_energy_nj(model,
+                                    build_mixed_plan(model, [ALPHA_4]))
+        assert mixed / man < 1.05
