@@ -23,9 +23,10 @@ The toggle counting itself is a compute kernel of :mod:`repro.kernels`
 the schedule cycle by cycle, ``backend="fast"`` (the ``"auto"`` default)
 lays the whole evaluation out over the time axis and counts all four
 toggle categories in one batched XOR + popcount pass — bit-identical
-traces, an order of magnitude less wall-clock (see
-``BENCH_simulator.json``).  This class owns validation, the effective-
-weight remap and the energy model; the kernels own the counting.
+traces, roughly 200x less wall-clock than the reference loop on a
+LeNet-scale dense layer (``BENCH_simulator.json`` records both absolute
+timings).  This class owns validation, the effective-weight remap and
+the energy model; the kernels own the counting.
 """
 
 from __future__ import annotations

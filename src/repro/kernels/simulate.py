@@ -23,7 +23,10 @@ implementations behind the backend registry:
     exactly the per-cycle values the reference loop visits, in the same
     order, including the zero-padded tail lanes of a ragged final neuron
     group and the ``prev_*`` register state carried across group
-    boundaries (asserted in ``tests/test_sim_backends.py``).
+    boundaries (asserted in ``tests/test_sim_backends.py``).  Both
+    backends popcount through one single-pass ufunc, so the fast kernel's
+    edge over the reference loop is its missing Python iteration: about
+    200x on a LeNet-scale dense layer (``BENCH_simulator.json``).
 
 Kernels operate on plain data (weights already remapped to effective
 values, int64 inputs, the lane count and the bank's alphabet multiples),

@@ -558,23 +558,38 @@ def _simulate_design_energy(ctx: PipelineContext, engine: ProcessingEngine,
     if not n_samples:
         return {}
     energy_nj = 0.0
-    toggles = 0
     cycles = 0
     macs = 0
-    with obs.span("energy.simulate", design=design, samples=n_samples):
+    layer_energy_nj = []
+    layer_toggles = []          # exact int totals per dense layer
+    with obs.span("energy.simulate", design=design,
+                  samples=n_samples) as span:
         for layer, codes in quantized.dense_layer_inputs(batch):
             aset = AlphabetSet(layer.alphabets) \
                 if layer.alphabets is not None else None
             simulator = engine.simulator(aset)
             effective = simulator.remap_weights(layer.w_int)
+            layer_energy = 0.0
+            layer_toggle_count = 0
             for sample in codes:
                 trace = simulator.run_layer(effective, sample,
                                             name=layer.name or "dense",
                                             remapped=True)
                 energy_nj += trace.energy_nj
-                toggles += trace.toggles.total
+                layer_energy += trace.energy_nj
+                layer_toggle_count += trace.toggles.total
             cycles += trace.cycles          # data-independent per layer
             macs += trace.macs
+            layer_energy_nj.append(layer_energy / n_samples)
+            layer_toggles.append(layer_toggle_count)
+        toggles = sum(layer_toggles)
+        # the paper's metric on the trace: per-sample means, design-wide
+        # and per dense layer
+        span.set(energy_nj=energy_nj / n_samples,
+                 toggles=toggles / n_samples,
+                 layer_energy_nj=layer_energy_nj,
+                 layer_toggles=[count / n_samples
+                                for count in layer_toggles])
     return {
         "sim_energy_nj": energy_nj / n_samples,
         "sim_toggles": toggles / n_samples,

@@ -406,6 +406,42 @@ class TestTracedPipeline:
                 if row["name"] == "pipeline.cache.hits"}
         assert hits == {stage: 1.0 for stage in executed}
 
+    def test_energy_simulate_carries_simulated_energy(self, tmp_path):
+        """energy.simulate spans carry the design's per-sample energy and
+        toggles plus one entry per dense layer, matching the report."""
+        config = PipelineConfig(
+            app="mnist_mlp", designs=("conventional", "asm1"),
+            stages=("train", "quantize", "constrain", "energy"),
+            budget=Budget("micro", n_train=60, n_test=30, max_epochs=1,
+                          retrain_epochs=1),
+            sim_samples=2, seed=0, cache_dir=str(tmp_path / "cache"))
+        path = str(tmp_path / "trace.jsonl")
+
+        obs.enable(path)
+        report = Pipeline(config).run()
+        obs.disable()
+        events = {event["args"]["design"]: event["args"]
+                  for event in obs_stats.load_trace(path).events
+                  if event["name"] == "energy.simulate"}
+        rows = {row.design: row for row in report.energy.rows}
+        assert set(events) == set(rows) == {"conventional", "asm1"}
+        for design, args in events.items():
+            row = rows[design]
+            assert args["samples"] == 2
+            assert args["energy_nj"] == row.sim_energy_nj
+            assert args["toggles"] == row.sim_toggles
+            # mnist_mlp is 1024-100-10: two dense layers, input first
+            assert len(args["layer_energy_nj"]) == 2
+            assert len(args["layer_toggles"]) == 2
+            assert all(value > 0 for value in args["layer_energy_nj"])
+            assert all(value > 0 for value in args["layer_toggles"])
+            assert sum(args["layer_energy_nj"]) == \
+                pytest.approx(row.sim_energy_nj)
+            assert sum(args["layer_toggles"]) == \
+                pytest.approx(row.sim_toggles)
+            # the 1024-wide input layer dominates the 100-wide output
+            assert args["layer_toggles"][0] > args["layer_toggles"][1]
+
     def test_disabled_run_records_nothing(self, tmp_path):
         config = PipelineConfig(
             app="face", designs=("asm1",),

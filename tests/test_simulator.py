@@ -23,13 +23,36 @@ class TestPopcountArray:
         with pytest.raises(ValueError):
             popcount_array(np.array([-1]))
 
-    @given(st.lists(st.integers(min_value=0, max_value=2**40),
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
                     min_size=1, max_size=20))
     def test_matches_scalar(self, values):
         from repro.fixedpoint.binary import popcount
         expected = [popcount(v) for v in values]
         np.testing.assert_array_equal(popcount_array(np.array(values)),
                                       expected)
+
+    @given(st.lists(st.integers(min_value=0, max_value=4),
+                    min_size=2, max_size=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_int64_counts_of_the_input_shape(self, shape, seed):
+        values = np.random.default_rng(seed).integers(
+            0, 2**63 - 1, size=shape, dtype=np.int64)
+        counts = popcount_array(values)
+        assert counts.dtype == np.int64
+        assert counts.shape == values.shape
+        expected = [int(v).bit_count() for v in values.ravel()]
+        np.testing.assert_array_equal(counts.ravel(), expected)
+
+    @given(st.lists(st.tuples(st.integers(-2**63, 2**63 - 1),
+                              st.integers(-2**63, 2**63 - 1)),
+                    min_size=1, max_size=20))
+    def test_toggles_match_python_hamming_distance(self, pairs):
+        from repro.kernels.simulate import _toggles
+        previous = np.array([a for a, _ in pairs], dtype=np.int64)
+        current = np.array([b for _, b in pairs], dtype=np.int64)
+        expected = sum(((a ^ b) & (2**32 - 1)).bit_count()
+                       for a, b in pairs)
+        assert _toggles(previous, current) == expected
 
 
 def _constrained_weights(shape, bits, aset, rng=RNG):
