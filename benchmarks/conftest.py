@@ -45,20 +45,24 @@ def emit_json(name: str, results: dict, version: int = 1,
 
     Every payload carries ``host``, ``repro_version`` and ``git_sha`` so
     numbers from different machines / releases / commits are never
-    compared blindly.  The stamps are attribution only — they stay out
-    of every cache key (the RPR001 allowlist covers ``benchmarks/``).
+    compared blindly, plus ``tree_dirty``: ``True`` when tracked files
+    differed from ``HEAD`` at measurement time, i.e. the numbers belong
+    to uncommitted code.  The stamps are attribution only — they
+    stay out of every cache key (the RPR001 allowlist covers
+    ``benchmarks/``).
 
     With ``merge=True`` an existing same-format payload's result
     sections are kept (new keys win) and the stamps are refreshed —
     multi-script suites like ``training`` combine their sections this
     way.  A payload from another format version is replaced outright.
     """
-    from repro.obs.history import git_sha
+    from repro.obs.history import git_sha, tree_dirty
 
     payload = {"format": f"repro-bench/{name}/{version}",
                "host": socket.gethostname(),
                "repro_version": repro.__version__,
                "git_sha": git_sha(cwd=REPO_ROOT),
+               "tree_dirty": tree_dirty(cwd=REPO_ROOT),
                "results": results}
     path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
     if merge:

@@ -55,8 +55,7 @@ def main() -> None:
     energy = entry.model.energy_per_inference_nj()
     print(f"  registered {entry.key}: {energy:.1f} nJ/inference estimated")
     server = create_server(registry,
-                           settings=BatchSettings(max_batch_size=32,
-                                                  max_latency_ms=2.0))
+                           settings=BatchSettings(max_batch_size=32))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

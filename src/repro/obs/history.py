@@ -33,7 +33,7 @@ import subprocess
 from dataclasses import dataclass
 
 __all__ = ["HISTORY_FORMAT", "DEFAULT_HISTORY", "SUITES", "HistoryError",
-           "Gate", "DEFAULT_GATES", "Violation", "git_sha",
+           "Gate", "DEFAULT_GATES", "Violation", "git_sha", "tree_dirty",
            "entry_from_payload", "load_history", "append_entry",
            "resolve_metric", "check_gates", "format_trend"]
 
@@ -83,6 +83,22 @@ def git_sha(cwd: str | None = None) -> str:
     if proc.returncode != 0 or not proc.stdout.strip():
         return "unknown"
     return proc.stdout.strip()
+
+
+def tree_dirty(cwd: str | None = None) -> bool:
+    """Whether tracked files differ from ``HEAD`` (``False`` without git).
+
+    A bench payload regenerated before its commit is stamped with
+    ``HEAD``, the parent of the commit it lands in; this marks that case.
+    Untracked files are ignored — scratch output is not a code change.
+    """
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=cwd, capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return proc.returncode == 0 and bool(proc.stdout.strip())
 
 
 def entry_from_payload(bench: str, payload: dict,

@@ -1,11 +1,14 @@
 """Dynamic micro-batching: coalesce single requests into batched passes.
 
 The integer-matmul forward pass is dramatically cheaper per sample when
-batched (see ``benchmarks/bench_serving_throughput.py``), so the server
-never runs one sample at a time: requests enter a queue, a worker thread
-drains it, groups requests by model key, and runs one forward pass per
-group.  A request waits at most ``max_latency_ms`` for co-riders and a
-batch never exceeds ``max_batch_size`` samples.
+batched (see ``benchmarks/bench_serving_throughput.py``), so requests
+enter a queue and a worker thread runs them in batches, one forward pass
+per model key.  The worker is work-conserving: as soon as it is free it
+takes the oldest request plus whatever else is already queued, up to
+``max_batch_size`` samples, and runs them at once.  No request waits on
+a timer for co-riders; requests that arrive during a forward pass form
+the next batch, so batches grow with load and a lone request costs only
+its own forward pass.
 
 Each :meth:`MicroBatcher.submit` returns a
 :class:`concurrent.futures.Future` resolving to the score rows for that
@@ -54,7 +57,6 @@ class BatchSettings:
     """Tunables for the micro-batching queue."""
 
     max_batch_size: int = 64
-    max_latency_ms: float = 5.0
     #: admission bound: submits shed with :class:`QueueFullError` while
     #: this many requests are already queued (0 = unbounded)
     max_queue_depth: int = 0
@@ -65,8 +67,6 @@ class BatchSettings:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_latency_ms < 0:
-            raise ValueError("max_latency_ms must be >= 0")
         if self.max_queue_depth < 0:
             raise ValueError("max_queue_depth must be >= 0")
         if self.deadline_s is not None and self.deadline_s <= 0:
@@ -95,7 +95,7 @@ class MicroBatcher:
         :class:`~repro.serving.registry.ModelRegistry`; pass
         ``lambda _key: model`` for a single model.
     settings:
-        Batch size / latency bounds.
+        Batch size, queue depth and deadline bounds.
     metrics:
         Optional :class:`ServingMetrics` fed batch sizes and queue depth.
     """
@@ -184,24 +184,19 @@ class MicroBatcher:
     # worker
     # ------------------------------------------------------------------
     def _collect(self, first: _Request) -> tuple[list[_Request], bool]:
-        """Gather co-riders for *first* until size or latency bound."""
+        """*first* plus whatever is already queued, up to the size bound."""
         batch = [first]
         samples = len(first.x)
-        deadline = first.enqueued + self.settings.max_latency_ms / 1e3
-        stop = False
         while samples < self.settings.max_batch_size:
-            wait = deadline - time.monotonic()
             try:
-                item = (self._queue.get_nowait() if wait <= 0
-                        else self._queue.get(timeout=wait))
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is None:
-                stop = True
-                break
+                return batch, True
             batch.append(item)
             samples += len(item.x)
-        return batch, stop
+        return batch, False
 
     @staticmethod
     def _resolve_future(future: Future, result=None,
@@ -250,8 +245,10 @@ class MicroBatcher:
             groups.setdefault((request.key, request.x.shape[1:]),
                               []).append(request)
         for (key, _shape), requests in groups.items():
+            waited = time.monotonic() - min(r.enqueued for r in requests)
             try:
-                with obs.span("serving.batch", requests=len(requests)):
+                with obs.span("serving.batch", requests=len(requests),
+                              wait_ms=round(waited * 1e3, 3)):
                     model = self._resolve(key)
                     scores = model.forward(
                         np.concatenate([r.x for r in requests], axis=0))

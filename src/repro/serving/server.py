@@ -255,9 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8100)
     parser.add_argument("--max-batch-size", type=int, default=64,
-                        help="samples per coalesced forward pass")
-    parser.add_argument("--max-latency-ms", type=float, default=5.0,
-                        help="longest a request waits for co-riders")
+                        help="most samples per forward pass; the worker "
+                             "runs whatever is queued as soon as it is "
+                             "free, up to this many")
     parser.add_argument("--max-queue-depth", type=int, default=0,
                         help="shed requests (503) past this queue depth "
                              "(0 = unbounded)")
@@ -286,7 +286,6 @@ def main(argv: list[str] | None = None) -> int:
         registry, host=args.host, port=args.port,
         settings=BatchSettings(
             max_batch_size=args.max_batch_size,
-            max_latency_ms=args.max_latency_ms,
             max_queue_depth=args.max_queue_depth,
             deadline_s=(args.deadline_ms / 1e3
                         if args.deadline_ms > 0 else None)))

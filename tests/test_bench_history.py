@@ -1,9 +1,12 @@
 """Tests for the benchmark-trajectory ledger (``repro bench`` /
 ``repro.obs.history``): entry schema, (git_sha, bench) dedupe, floor /
-ceiling / drift gates, trend rendering, git SHA stamping, and the CLI's
-exit codes — including nonzero on a seeded synthetic regression."""
+ceiling / drift gates, trend rendering, git SHA and dirty-tree stamping,
+and the CLI's exit codes — including nonzero on a seeded synthetic
+regression."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.obs.history import (
     git_sha,
     load_history,
     resolve_metric,
+    tree_dirty,
 )
 
 
@@ -54,6 +58,26 @@ class TestGitSha:
     def test_unknown_outside_a_repo(self, monkeypatch, tmp_path):
         monkeypatch.delenv("GIT_COMMIT", raising=False)
         assert git_sha(cwd=str(tmp_path)) == "unknown"
+
+    def test_tree_dirty_false_outside_a_repo(self, tmp_path):
+        assert tree_dirty(cwd=str(tmp_path)) is False
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_tree_dirty_tracks_modified_tracked_files(self, tmp_path):
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                            "-c", "commit.gpgsign=false", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        git("init", "-q")
+        (tmp_path / "a.txt").write_text("one\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", "init")
+        assert tree_dirty(cwd=str(tmp_path)) is False
+        (tmp_path / "scratch.txt").write_text("untracked\n")
+        assert tree_dirty(cwd=str(tmp_path)) is False
+        (tmp_path / "a.txt").write_text("two\n")
+        assert tree_dirty(cwd=str(tmp_path)) is True
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.asm.alphabet import ALPHA_1, ALPHA_2
 from repro.asm.constraints import WeightConstrainer
 from repro.asm.multiplier import AlphabetSetMultiplier
@@ -226,23 +227,50 @@ class TestRegistry:
         assert registry.register(path, name="digits").version == 4
 
 
+class _GatedModel:
+    """Forward pass that blocks until released — a stand-in for a slow
+    model, used to hold the batcher worker busy deterministically."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.started = threading.Event()
+        self.gate = threading.Event()
+
+    def forward(self, x):
+        self.started.set()
+        assert self.gate.wait(timeout=30.0)
+        return self.inner.forward(x)
+
+
+class _BatchLog(ServingMetrics):
+    """ServingMetrics that also keeps every flushed batch size, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def record_batch(self, size):
+        super().record_batch(size)
+        self.sizes.append(size)
+
+
 class TestMicroBatcher:
     def test_concurrent_submitters_bit_identical(self, exported):
         quantized, path = exported
-        compiled = CompiledModel.load(path)
+        model = _GatedModel(CompiledModel.load(path))
         x = sample_batch(48)
         reference = quantized.forward(x)
-        metrics = ServingMetrics()
-        results: dict[int, np.ndarray] = {}
-        with MicroBatcher(lambda key: compiled,
-                          BatchSettings(max_batch_size=16,
-                                        max_latency_ms=20.0),
+        metrics = _BatchLog()
+        futures: dict[int, object] = {}
+        with MicroBatcher(lambda key: model,
+                          BatchSettings(max_batch_size=16),
                           metrics=metrics) as batcher:
+            held = batcher.submit("digits", x[0])   # occupies the worker
+            assert model.started.wait(timeout=10.0)
+
             def submit_range(start: int, stop: int) -> None:
-                futures = [(i, batcher.submit("digits", x[i]))
-                           for i in range(start, stop)]
-                for i, future in futures:
-                    results[i] = future.result(timeout=10.0)
+                for i in range(start, stop):
+                    futures[i] = batcher.submit("digits", x[i])
 
             threads = [threading.Thread(target=submit_range,
                                         args=(t * 12, (t + 1) * 12))
@@ -251,12 +279,71 @@ class TestMicroBatcher:
                 thread.start()
             for thread in threads:
                 thread.join()
+            model.gate.set()
+            results = {i: future.result(timeout=10.0)
+                       for i, future in futures.items()}
+            assert np.array_equal(held.result(timeout=10.0), reference[:1])
         stacked = np.concatenate([results[i] for i in range(48)], axis=0)
         assert np.array_equal(stacked, reference)
+        # the 48 requests queued behind the held one ride capped batches
+        assert metrics.sizes == [1, 16, 16, 16]
         snapshot = metrics.snapshot()
         assert snapshot["batches_total"] >= 1
         # coalescing happened: fewer forward passes than requests
         assert snapshot["batches_total"] < 48
+
+    def test_backlog_drains_in_capped_batches(self, exported):
+        quantized, path = exported
+        model = _GatedModel(CompiledModel.load(path))
+        x = sample_batch(10)
+        metrics = _BatchLog()
+        with MicroBatcher(lambda key: model,
+                          BatchSettings(max_batch_size=4),
+                          metrics=metrics) as batcher:
+            held = batcher.submit("digits", x[0])
+            assert model.started.wait(timeout=10.0)
+            futures = [batcher.submit("digits", x[i]) for i in range(10)]
+            model.gate.set()
+            scores = np.concatenate([f.result(timeout=10.0)
+                                     for f in futures], axis=0)
+            held.result(timeout=10.0)
+        assert metrics.sizes == [1, 4, 4, 2]
+        assert np.array_equal(scores, quantized.forward(x))
+
+    def test_lone_requests_flush_alone(self, exported):
+        quantized, path = exported
+        compiled = CompiledModel.load(path)
+        x = sample_batch(5)
+        metrics = _BatchLog()
+        with MicroBatcher(lambda key: compiled,
+                          metrics=metrics) as batcher:
+            scores = [batcher.predict("digits", x[i], timeout=10.0)
+                      for i in range(5)]
+        assert metrics.sizes == [1] * 5
+        assert np.array_equal(np.concatenate(scores), quantized.forward(x))
+
+    def test_batch_span_records_queue_wait(self, exported):
+        _, path = exported
+        model = _GatedModel(CompiledModel.load(path))
+        x = sample_batch(3)
+        obs.enable()
+        try:
+            with MicroBatcher(lambda key: model) as batcher:
+                held = batcher.submit("digits", x[0])
+                assert model.started.wait(timeout=10.0)
+                queued = [batcher.submit("digits", x[i]) for i in (1, 2)]
+                gate_held = time.monotonic()
+                time.sleep(0.05)
+                gate_held = time.monotonic() - gate_held
+                model.gate.set()
+                for future in [held, *queued]:
+                    future.result(timeout=10.0)
+            spans = [span for span in obs.spans()
+                     if span.name == "serving.batch"]
+        finally:
+            obs.reset()
+        assert [span.attrs["requests"] for span in spans] == [1, 2]
+        assert spans[1].attrs["wait_ms"] >= gate_held * 1e3
 
     def test_multi_model_grouping(self, exported, tmp_path):
         _, path = exported
@@ -266,8 +353,7 @@ class TestMicroBatcher:
         registry.register(path, name="digits")
         registry.register(other_path, name="other")
         x = sample_batch(6)
-        with MicroBatcher(lambda key: registry.get(*key),
-                          BatchSettings(max_latency_ms=10.0)) as batcher:
+        with MicroBatcher(lambda key: registry.get(*key)) as batcher:
             futures = [(key, batcher.submit((key, None), x))
                        for key in ("digits", "other")]
             outputs = {key: future.result(timeout=10.0)
@@ -279,8 +365,7 @@ class TestMicroBatcher:
 
     def test_unknown_model_sets_exception(self):
         registry = ModelRegistry()
-        with MicroBatcher(lambda key: registry.get(*key),
-                          BatchSettings(max_latency_ms=0.0)) as batcher:
+        with MicroBatcher(lambda key: registry.get(*key)) as batcher:
             future = batcher.submit(("missing", None), np.zeros(4))
             with pytest.raises(KeyError):
                 future.result(timeout=10.0)
@@ -303,22 +388,28 @@ class TestMicroBatcher:
     def test_malformed_corider_does_not_poison_batch(self, exported):
         quantized, path = exported
         compiled = CompiledModel.load(path)
+        model = _GatedModel(compiled)
         x = sample_batch(2)
-        with MicroBatcher(lambda key: compiled,
-                          BatchSettings(max_latency_ms=50.0)) as batcher:
+        metrics = _BatchLog()
+        with MicroBatcher(lambda key: model, metrics=metrics) as batcher:
+            held = batcher.submit("digits", x[0])   # occupies the worker
+            assert model.started.wait(timeout=10.0)
             good = batcher.submit("digits", x)
             bad = batcher.submit("digits", np.zeros(10))  # wrong width
+            model.gate.set()
+            held.result(timeout=10.0)
             assert np.array_equal(good.result(timeout=10.0),
                                   quantized.forward(x))
             with pytest.raises(ValueError):
                 bad.result(timeout=10.0)
+        # good and bad rode one batch; only the bad group failed
+        assert metrics.sizes == [1, 2]
 
     def test_cancelled_future_does_not_kill_worker(self, exported):
         quantized, path = exported
         compiled = CompiledModel.load(path)
         x = sample_batch(2)
-        with MicroBatcher(lambda key: compiled,
-                          BatchSettings(max_latency_ms=0.0)) as batcher:
+        with MicroBatcher(lambda key: compiled) as batcher:
             for _ in range(20):
                 batcher.submit("digits", x[0]).cancel()
             # worker must still be alive and serving after cancel races
@@ -360,8 +451,7 @@ def running_server(exported):
     _, path = exported
     registry = ModelRegistry()
     registry.register(path, name="digits")
-    server = create_server(registry,
-                           settings=BatchSettings(max_latency_ms=2.0))
+    server = create_server(registry)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -450,21 +540,6 @@ class TestServer:
 # ----------------------------------------------------------------------
 # overload hardening: admission control, deadlines, worker isolation
 # ----------------------------------------------------------------------
-class _GatedModel:
-    """Forward pass that blocks until released — a stand-in for a slow
-    model, used to hold the batcher worker busy deterministically."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.started = threading.Event()
-        self.gate = threading.Event()
-
-    def forward(self, x):
-        self.started.set()
-        assert self.gate.wait(timeout=30.0)
-        return self.inner.forward(x)
-
-
 class TestOverloadHardening:
     def test_settings_validated(self):
         with pytest.raises(ValueError, match="max_queue_depth"):
@@ -478,8 +553,7 @@ class TestOverloadHardening:
         metrics = ServingMetrics()
         x = sample_batch(1)
         with MicroBatcher(lambda key: model,
-                          BatchSettings(max_latency_ms=0.0,
-                                        max_queue_depth=2),
+                          BatchSettings(max_queue_depth=2),
                           metrics=metrics) as batcher:
             held = batcher.submit("digits", x)      # occupies the worker
             assert model.started.wait(timeout=10.0)
@@ -499,8 +573,7 @@ class TestOverloadHardening:
         metrics = ServingMetrics()
         x = sample_batch(1)
         with MicroBatcher(lambda key: model,
-                          BatchSettings(max_latency_ms=0.0,
-                                        deadline_s=0.05),
+                          BatchSettings(deadline_s=0.05),
                           metrics=metrics) as batcher:
             held = batcher.submit("digits", x)      # occupies the worker
             assert model.started.wait(timeout=10.0)
@@ -527,7 +600,6 @@ class TestOverloadHardening:
 
         x = sample_batch(2)
         with MicroBatcher(lambda key: compiled,
-                          BatchSettings(max_latency_ms=0.0),
                           metrics=HostileMetrics()) as batcher:
             poisoned = batcher.submit("digits", x)
             with pytest.raises(RuntimeError, match="metrics backend"):
@@ -546,8 +618,7 @@ class TestOverloadHardening:
                 return compiled.forward(x)
 
         x = sample_batch(2)
-        batcher = MicroBatcher(lambda key: Slow(),
-                               BatchSettings(max_latency_ms=0.0))
+        batcher = MicroBatcher(lambda key: Slow())
         futures = [batcher.submit("digits", x) for _ in range(6)]
         batcher.close(timeout=30.0)     # drains, never abandons a future
         for future in futures:
@@ -562,8 +633,7 @@ def overload_server(exported):
     registry = ModelRegistry()
     registry.register(path, name="digits")
     server = create_server(registry,
-                           settings=BatchSettings(max_latency_ms=0.0,
-                                                  max_queue_depth=1))
+                           settings=BatchSettings(max_queue_depth=1))
     model = _GatedModel(CompiledModel.load(path))
     server.batcher._resolve = lambda key: model
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -637,6 +707,7 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert out.startswith("usage: repro serve")
         assert "--max-batch-size" in out
+        assert "--max-latency-ms" not in out
 
     def test_flags_before_path_reach_the_server(self, capsys):
         from repro.cli import main
